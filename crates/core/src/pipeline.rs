@@ -34,7 +34,7 @@ use fsam_threads::interleave::Interleaving;
 use fsam_threads::lock::LockAnalysis;
 use fsam_threads::mhp::MhpBackend;
 use fsam_threads::relation::MhpRelation;
-use fsam_threads::valueflow::{self, ValueFlowPlan, ValueFlowStats};
+use fsam_threads::valueflow::{self, ValueFlowStats};
 use fsam_threads::{ProcMhp, ThreadModel};
 use fsam_trace::{FieldValue, Recorder};
 
@@ -527,27 +527,17 @@ impl<'m> Pipeline<'m> {
 
         let t0 = Instant::now();
         let vf_span = run_span.child("phase.value_flow");
-        let vf = if self.threads > 1 && config.value_flow {
-            // Shard the per-object store × access loops across the pool and
-            // fold the results back in object order — bit-identical to the
-            // sequential `valueflow::compute` by construction.
-            let plan = ValueFlowPlan::new(self.module, icfg, pre, &mhp, &mhp_rel, lock.as_deref());
-            let (flows, ps) =
-                par::run_tasks(self.threads, plan.objects(), |_, i, _| plan.object_flow(i));
-            vf_span.counter("par.workers", ps.workers.max(1) as u64);
-            vf_span.counter("par.steals", ps.steals);
-            plan.merge(flows)
-        } else {
-            valueflow::compute(
-                self.module,
-                icfg,
-                pre,
-                &mhp,
-                &mhp_rel,
-                lock.as_deref(),
-                !config.value_flow,
-            )
-        };
+        // One sequential pass: the plan decides each signature pair once, so
+        // sharding its objects across the pool no longer pays (DESIGN §1.6).
+        let vf = valueflow::compute(
+            self.module,
+            icfg,
+            pre,
+            &mhp,
+            &mhp_rel,
+            lock.as_deref(),
+            !config.value_flow,
+        );
         vf.stats.export_trace(&vf_span);
         let mut svfg = Svfg::clone(svfg_base);
         let inserted = svfg.insert_thread_edges_grouped(&vf.edges);

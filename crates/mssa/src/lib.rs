@@ -7,7 +7,7 @@
 //! fork sites treated as weak calls (steps 1–2, Figure 6(c)) and resolved
 //! join sites exposing the joined thread's side effects (step 3,
 //! Figure 6(d)). Thread-aware edges (§3.3) are appended afterwards via
-//! [`Svfg::add_thread_edge`].
+//! [`Svfg::insert_thread_edges_grouped`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,5 +19,5 @@ pub mod topo;
 
 pub use annotate::Annotations;
 pub use modref::ModRef;
-pub use svfg::{MemorySsa, NodeId, NodeKind, Svfg, SvfgStats, ThreadEdgeInsertion};
+pub use svfg::{NodeId, NodeKind, Svfg, SvfgStats, ThreadEdgeInsertion};
 pub use topo::{condense, SolveOrder, TopoOrder};

@@ -18,7 +18,7 @@
 //!   Figure 6(d)).
 //!
 //! Thread-*aware* edges (§3.3) are appended later by the pipeline through
-//! [`Svfg::add_thread_edge`].
+//! [`Svfg::insert_thread_edges_grouped`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -26,7 +26,7 @@ use fsam_andersen::PreAnalysis;
 use fsam_ir::dom::DomTree;
 use fsam_ir::{BlockId, FuncId, Module, StmtId, StmtKind, Terminator, VarId};
 use fsam_pts::MemId;
-use fsam_threads::ThreadModel;
+use fsam_threads::{ThreadClass, ThreadModel};
 
 use crate::annotate::Annotations;
 use crate::modref::ModRef;
@@ -261,66 +261,13 @@ impl Svfg {
         &self.modref
     }
 
-    /// Whether a def-use path for `obj` exists from statement `from` to
-    /// statement `to` (following `obj`-labeled edges through intermediate
-    /// nodes). Used by tests and the interference analyses.
-    pub fn reaches(&self, from: StmtId, to: StmtId, obj: MemId) -> bool {
-        let (Some(from), Some(to)) = (self.stmt_node(from), self.stmt_node(to)) else {
-            return false;
-        };
-        let mut seen = vec![false; self.nodes.len()];
-        let mut work = vec![from];
-        seen[from.index()] = true;
-        while let Some(n) = work.pop() {
-            for &(succ, o) in self.succs(n) {
-                if o != obj || seen[succ.index()] {
-                    continue;
-                }
-                if succ == to {
-                    return true;
-                }
-                // All nodes pass the chain along: intermediate nodes merge,
-                // and stores keep weakly-merged values alive.
-                seen[succ.index()] = true;
-                work.push(succ);
-            }
-        }
-        false
-    }
-
     /// Appends the thread-aware def-use edges produced by the interference
-    /// phases (§3.3), grouped so complete store×access products share a
-    /// junction node.
-    ///
-    /// Edges are bucketed per object; within an object, stores are
-    /// partitioned by their exact access set, so every class is a complete
-    /// bipartite product routable through one
-    /// [`NodeKind::ThreadJunction`] (k+m edges instead of k×m) with
-    /// identical reachability — see [`Svfg::add_thread_group`]. `BTreeMap`
-    /// grouping keeps the insertion order (and thus node ids) deterministic.
-    pub fn insert_thread_edges_grouped(
-        &mut self,
-        edges: &[(StmtId, StmtId, MemId)],
-    ) -> ThreadEdgeInsertion {
-        use std::collections::BTreeSet;
-        let mut by_obj: BTreeMap<MemId, Vec<(StmtId, StmtId)>> = BTreeMap::new();
-        for &(s, a, o) in edges {
-            by_obj.entry(o).or_default().push((s, a));
-        }
+    /// phases (§3.3): one [`Svfg::add_thread_group`] per class, in the
+    /// given order (which fixes the node ids).
+    pub fn insert_thread_edges_grouped(&mut self, classes: &[ThreadClass]) -> ThreadEdgeInsertion {
         let mut outcome = ThreadEdgeInsertion::default();
-        for (o, pairs) in by_obj {
-            let mut access_sets: BTreeMap<StmtId, BTreeSet<StmtId>> = BTreeMap::new();
-            for &(s, a) in &pairs {
-                access_sets.entry(s).or_default().insert(a);
-            }
-            let mut classes: BTreeMap<Vec<StmtId>, Vec<StmtId>> = BTreeMap::new();
-            for (s, accs) in access_sets {
-                let key: Vec<StmtId> = accs.into_iter().collect();
-                classes.entry(key).or_default().push(s);
-            }
-            for (accesses, stores) in classes {
-                outcome.absorb(self.add_thread_group(&stores, &accesses, o));
-            }
+        for c in classes {
+            outcome.absorb(self.add_thread_group(&c.stores, &c.accesses, c.obj));
         }
         outcome
     }
@@ -653,28 +600,36 @@ impl Svfg {
     }
 }
 
-/// A convenience bundle: everything the sparse solver needs about a module's
-/// def-use structure.
-#[derive(Debug)]
-pub struct MemorySsa {
-    /// The value-flow graph.
-    pub svfg: Svfg,
-}
-
-impl MemorySsa {
-    /// Builds memory SSA + SVFG in one step.
-    pub fn build(module: &Module, pre: &PreAnalysis, tm: &ThreadModel) -> MemorySsa {
-        MemorySsa {
-            svfg: Svfg::build(module, pre, tm),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fsam_ir::icfg::Icfg;
     use fsam_ir::parse::parse_module;
+
+    /// Whether a def-use path for `obj` exists from statement `from` to
+    /// statement `to`, following `obj`-labeled edges through intermediate
+    /// nodes.
+    fn reaches(svfg: &Svfg, from: StmtId, to: StmtId, obj: MemId) -> bool {
+        let (Some(from), Some(to)) = (svfg.stmt_node(from), svfg.stmt_node(to)) else {
+            return false;
+        };
+        let mut seen = vec![false; svfg.node_count()];
+        let mut work = vec![from];
+        seen[from.index()] = true;
+        while let Some(n) = work.pop() {
+            for &(succ, o) in svfg.succs(n) {
+                if o != obj || seen[succ.index()] {
+                    continue;
+                }
+                if succ == to {
+                    return true;
+                }
+                seen[succ.index()] = true;
+                work.push(succ);
+            }
+        }
+        false
+    }
 
     fn build(src: &str) -> (Module, PreAnalysis, Svfg) {
         let m = parse_module(src).unwrap();
@@ -714,7 +669,7 @@ mod tests {
         let g = pre.objects().base(m.global_by_name("g").unwrap());
         let s1 = stmt_where(&m, "main", |k| matches!(k, StmtKind::Store { .. }), 0);
         let s2 = stmt_where(&m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
-        assert!(svfg.reaches(s1, s2, g));
+        assert!(reaches(&svfg, s1, s2, g));
     }
 
     #[test]
@@ -740,8 +695,8 @@ mod tests {
         let n1 = svfg.stmt_node(s1).unwrap();
         let n3 = svfg.stmt_node(s3).unwrap();
         assert!(!svfg.succs(n1).iter().any(|&(n, _)| n == n3));
-        assert!(svfg.reaches(s1, s2, g));
-        assert!(svfg.reaches(s2, s3, g));
+        assert!(reaches(&svfg, s1, s2, g));
+        assert!(reaches(&svfg, s2, s3, g));
     }
 
     #[test]
@@ -770,8 +725,8 @@ mod tests {
         let s_l = stmt_where(&m, "main", |k| matches!(k, StmtKind::Store { .. }), 0);
         let s_r = stmt_where(&m, "main", |k| matches!(k, StmtKind::Store { .. }), 1);
         let load = stmt_where(&m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
-        assert!(svfg.reaches(s_l, load, g));
-        assert!(svfg.reaches(s_r, load, g));
+        assert!(reaches(&svfg, s_l, load, g));
+        assert!(reaches(&svfg, s_r, load, g));
     }
 
     #[test]
@@ -799,8 +754,11 @@ mod tests {
         let s1 = stmt_where(&m, "main", |k| matches!(k, StmtKind::Store { .. }), 0);
         let callee_load = stmt_where(&m, "reader", |k| matches!(k, StmtKind::Load { .. }), 0);
         let s2 = stmt_where(&m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
-        assert!(svfg.reaches(s1, callee_load, g), "def flows into callee");
-        assert!(svfg.reaches(s1, s2, g), "def survives the (read-only) call");
+        assert!(reaches(&svfg, s1, callee_load, g), "def flows into callee");
+        assert!(
+            reaches(&svfg, s1, s2, g),
+            "def survives the (read-only) call"
+        );
     }
 
     #[test]
@@ -826,7 +784,7 @@ mod tests {
         let g = pre.objects().base(m.global_by_name("g").unwrap());
         let sw = stmt_where(&m, "writer", |k| matches!(k, StmtKind::Store { .. }), 0);
         let load = stmt_where(&m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
-        assert!(svfg.reaches(sw, load, g));
+        assert!(reaches(&svfg, sw, load, g));
     }
 
     /// Paper Figure 6: thread-oblivious def-use over Pseq with fork bypass
@@ -863,13 +821,13 @@ mod tests {
         let s5 = stmt_where(&m, "foo", |k| matches!(k, StmtKind::Load { .. }), 0);
 
         // Fig 6(b): Pseq def-use.
-        assert!(svfg.reaches(s1, s4, o), "s1 -> s4 (into forked routine)");
-        assert!(svfg.reaches(s4, s5, o), "s4 -> s5 (inside foo)");
-        assert!(svfg.reaches(s2, s3, o), "s2 -> s3");
+        assert!(reaches(&svfg, s1, s4, o), "s1 -> s4 (into forked routine)");
+        assert!(reaches(&svfg, s4, s5, o), "s4 -> s5 (inside foo)");
+        assert!(reaches(&svfg, s2, s3, o), "s2 -> s3");
         // Fig 6(c): fork bypass — s1 reaches s2 even though foo stores o.
-        assert!(svfg.reaches(s1, s2, o), "fork-related bypass edge");
+        assert!(reaches(&svfg, s1, s2, o), "fork-related bypass edge");
         // Fig 6(d): join side effect — s4 reaches s3.
-        assert!(svfg.reaches(s4, s3, o), "join-related def-use edge");
+        assert!(reaches(&svfg, s4, s3, o), "join-related def-use edge");
     }
 
     /// Regression: a block that redefines the same object twice must not
@@ -901,11 +859,11 @@ mod tests {
         let s_l2 = stmt_where(&m, "main", |k| matches!(k, StmtKind::Store { .. }), 1);
         let load_r = stmt_where(&m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
         assert!(
-            !svfg.reaches(s_l1, load_r, g),
+            !reaches(&svfg, s_l1, load_r, g),
             "sibling-arm leak (first def)"
         );
         assert!(
-            !svfg.reaches(s_l2, load_r, g),
+            !reaches(&svfg, s_l2, load_r, g),
             "sibling-arm leak (second def)"
         );
     }
@@ -938,7 +896,7 @@ mod tests {
         assert!(!svfg.add_thread_edge(sw, sl, g), "deduplicated");
         assert_eq!(svfg.stats.edges, before + 1);
         assert_eq!(svfg.stats.thread_edges, 1);
-        assert!(svfg.reaches(sw, sl, g));
+        assert!(reaches(&svfg, sw, sl, g));
         let (nw, nl) = (svfg.stmt_node(sw).unwrap(), svfg.stmt_node(sl).unwrap());
         assert!(svfg.is_thread_edge(nw, nl));
         assert!(!svfg.is_thread_edge(nl, nw), "marks are directed");
@@ -985,7 +943,7 @@ mod tests {
             naive.add_thread_edge(s, a, o);
         }
         let mut grouped = base;
-        let outcome = grouped.insert_thread_edges_grouped(&edges);
+        let outcome = grouped.insert_thread_edges_grouped(&[class(g, &[sw0, sw1], &[sl0, sl1])]);
         assert_eq!(
             outcome,
             ThreadEdgeInsertion {
@@ -996,14 +954,25 @@ mod tests {
         );
 
         for &(s, a, o) in &edges {
-            assert!(grouped.reaches(s, a, o), "grouped must keep {s:?} -> {a:?}");
-            assert!(naive.reaches(s, a, o));
+            assert!(
+                reaches(&grouped, s, a, o),
+                "grouped must keep {s:?} -> {a:?}"
+            );
+            assert!(reaches(&naive, s, a, o));
         }
         assert_eq!(grouped.stats.thread_edges, 4, "small product stays direct");
     }
 
+    fn class(obj: MemId, stores: &[StmtId], accesses: &[StmtId]) -> ThreadClass {
+        ThreadClass {
+            obj,
+            stores: stores.to_vec(),
+            accesses: accesses.to_vec(),
+        }
+    }
+
     #[test]
-    fn grouped_insertion_partitions_by_access_set() {
+    fn grouped_insertion_keeps_classes_apart() {
         let (m, _, mut svfg, g) = interference_world();
         // Synthetic statement ids: disconnected in the base graph, so any
         // reachability below comes from the inserted edges alone.
@@ -1011,11 +980,13 @@ mod tests {
         let (sw0, sw1) = (StmtId::new(hi + 1), StmtId::new(hi + 2));
         let (sl0, sl1) = (StmtId::new(hi + 3), StmtId::new(hi + 4));
         // sw0 interferes only with sl0, sw1 only with sl1: two classes.
-        svfg.insert_thread_edges_grouped(&[(sw0, sl0, g), (sw1, sl1, g)]);
-        assert!(svfg.reaches(sw0, sl0, g));
-        assert!(svfg.reaches(sw1, sl1, g));
-        assert!(!svfg.reaches(sw0, sl1, g), "classes must not be merged");
-        assert!(!svfg.reaches(sw1, sl0, g), "classes must not be merged");
+        let outcome =
+            svfg.insert_thread_edges_grouped(&[class(g, &[sw0], &[sl0]), class(g, &[sw1], &[sl1])]);
+        assert_eq!((outcome.classes, outcome.edges_added), (2, 2));
+        assert!(reaches(&svfg, sw0, sl0, g));
+        assert!(reaches(&svfg, sw1, sl1, g));
+        assert!(!reaches(&svfg, sw0, sl1, g), "classes must not be merged");
+        assert!(!reaches(&svfg, sw1, sl0, g), "classes must not be merged");
     }
 
     #[test]
@@ -1039,14 +1010,8 @@ mod tests {
                 }
             })
             .collect();
-        let mut edges = Vec::new();
-        for &s in &stores {
-            for &a in &accesses {
-                edges.push((s, a, g));
-            }
-        }
         let before = svfg.stats.edges;
-        let outcome = svfg.insert_thread_edges_grouped(&edges);
+        let outcome = svfg.insert_thread_edges_grouped(&[class(g, &stores, &accesses)]);
         let junction = svfg
             .lookup(NodeKind::ThreadJunction { obj: g })
             .expect("large product must route through a junction");
@@ -1060,7 +1025,7 @@ mod tests {
         assert!(svfg.is_thread_edge(junction, na));
         for &s in &stores {
             for &a in &accesses {
-                assert!(svfg.reaches(s, a, g));
+                assert!(reaches(&svfg, s, a, g));
             }
         }
     }

@@ -29,7 +29,7 @@ use crate::mhp::MhpOracle;
 use crate::model::{ThreadId, ThreadModel};
 
 /// A set of [`ThreadId`]s (a compact sorted vector; thread counts are small).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadSet {
     ids: Vec<u32>,
 }
@@ -430,6 +430,11 @@ impl MhpOracle for Interleaving {
             .get(&(t2, c2, icfg.stmt_node(s2)))
             .is_some_and(|a| a.contains(t1));
         fwd && bwd
+    }
+
+    fn instance_key(&self, icfg: &Icfg, i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet> {
+        let (t, c, s) = i;
+        self.state.get(&(t, c, icfg.stmt_node(s)))
     }
 }
 

@@ -267,6 +267,12 @@ impl LockAnalysis {
         h1.iter().any(|l| h2.binary_search(l).is_ok())
     }
 
+    /// Whether instance `(t, c, s)` is a member of some lock span — only
+    /// then can [`non_interference`](Self::non_interference) hold for it.
+    pub fn in_span(&self, t: ThreadId, c: CtxId, s: StmtId) -> bool {
+        self.membership.contains_key(&(t, c, s))
+    }
+
     /// Definition 6: whether the MHP pair `(store i1, access i2)` on object
     /// `o` is a *non-interference* pair — both instances protected by a
     /// common lock, and the store is not a span tail or the access is not a

@@ -14,7 +14,7 @@ use fsam_ir::context::CtxId;
 use fsam_ir::icfg::Icfg;
 use fsam_ir::{Module, StmtId};
 
-use crate::interleave::Interleaving;
+use crate::interleave::{Interleaving, ThreadSet};
 use crate::model::{ThreadId, ThreadModel};
 
 /// May-happen-in-parallel queries at statement and instance granularity.
@@ -33,6 +33,11 @@ pub trait MhpOracle {
         i1: (ThreadId, CtxId, StmtId),
         i2: (ThreadId, CtxId, StmtId),
     ) -> bool;
+
+    /// What [`MhpOracle::mhp_instances`] reads of instance `i` besides its
+    /// thread: two instances of one thread with equal keys get the same
+    /// verdict against every partner. `None` when the thread alone decides.
+    fn instance_key(&self, icfg: &Icfg, i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet>;
 }
 
 /// The MHP oracle a pipeline configuration selected: the paper's flow- and
@@ -94,6 +99,10 @@ impl MhpOracle for MhpBackend {
         i2: (ThreadId, CtxId, StmtId),
     ) -> bool {
         self.oracle().mhp_instances(icfg, i1, i2)
+    }
+
+    fn instance_key(&self, icfg: &Icfg, i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet> {
+        self.oracle().instance_key(icfg, i)
     }
 }
 
@@ -198,6 +207,10 @@ impl MhpOracle for ProcMhp {
         } else {
             self.concurrent[t1.index()][t2.index()]
         }
+    }
+
+    fn instance_key(&self, _icfg: &Icfg, _i: (ThreadId, CtxId, StmtId)) -> Option<&ThreadSet> {
+        None
     }
 }
 

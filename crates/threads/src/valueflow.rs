@@ -4,7 +4,9 @@
 //! pointed-to object (`o ∈ AS(*p, *q)` from the pre-analysis), a
 //! thread-aware def-use edge is produced; the lock analysis (Definition 6)
 //! filters the pairs whose every MHP instance pair is a non-interference
-//! pair. The surviving edges are appended to the SVFG by the pipeline.
+//! pair. Statements with equal *interference signatures* get equal
+//! verdicts against any partner, so each signature pair is decided once and
+//! the edges come out as complete bipartite [`ThreadClass`]es (DESIGN §1.5).
 //!
 //! The *No-Value-Flow* ablation of Figure 12 disregards the aliasing
 //! condition (`blind` mode): every MHP store/access pair gets edges for all
@@ -15,12 +17,14 @@
 use std::collections::HashMap;
 
 use fsam_andersen::PreAnalysis;
+use fsam_ir::context::CtxId;
 use fsam_ir::icfg::Icfg;
 use fsam_ir::{Module, StmtId, StmtKind};
 use fsam_pts::MemId;
 
 use crate::lock::LockAnalysis;
 use crate::mhp::MhpOracle;
+use crate::model::ThreadId;
 use crate::relation::MhpRelation;
 use crate::shared::SharedObjects;
 
@@ -52,50 +56,69 @@ impl ValueFlowStats {
     }
 }
 
+/// Thread-aware def-use edges on one object, as a complete bipartite
+/// class: every store interferes with every access.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ThreadClass {
+    /// The object flowing.
+    pub obj: MemId,
+    /// The interfering stores, ascending.
+    pub stores: Vec<StmtId>,
+    /// The loads and stores they interfere with, ascending.
+    pub accesses: Vec<StmtId>,
+}
+
 /// The thread-aware def-use edges to append to the SVFG.
 #[derive(Debug, Default)]
 pub struct ThreadValueFlow {
-    /// `(store, access, object)` triples.
-    pub edges: Vec<(StmtId, StmtId, MemId)>,
+    /// Classes by ascending object, then by ascending access list.
+    pub edges: Vec<ThreadClass>,
     /// Phase statistics.
     pub stats: ValueFlowStats,
 }
 
+/// An interference signature: its statements share the MHP region and the
+/// set of `(thread, instance key)`, or it is a lock-span member's own.
+struct Signature {
+    region: Option<u32>,
+    /// One instance per distinct key, or every instance of a span member.
+    reps: Vec<(ThreadId, CtxId, StmtId)>,
+    span: bool,
+}
+
 /// The value-flow analysis decomposed into independent per-object units.
 ///
-/// Each shared object's store/access pair loop reads only immutable inputs
-/// ([`ValueFlowPlan::object_flow`] takes `&self`), so the objects can be
-/// evaluated in any order — or concurrently on a worker pool, which is how
-/// the pipeline runs this phase when configured with more than one thread.
-/// [`ValueFlowPlan::merge`] folds the per-object results back **in object
-/// order**, reproducing the sequential [`compute`] bit for bit: the edge
-/// list, ordered by ascending object, is exactly what the sequential loop
-/// emits, and the statistics are sums of per-object counts.
+/// [`ValueFlowPlan::new`] decides every signature pair once; each
+/// [`ValueFlowPlan::object_flow`] reads only the plan, so objects evaluate in
+/// any order, and [`ValueFlowPlan::merge`] folds them back in object order.
 pub struct ValueFlowPlan<'a> {
     icfg: &'a Icfg,
     oracle: &'a (dyn MhpOracle + Sync),
-    rel: &'a MhpRelation,
     lock: Option<&'a LockAnalysis>,
     stores_of: HashMap<MemId, Vec<StmtId>>,
     accesses_of: HashMap<MemId, Vec<StmtId>>,
     /// The shared, multiply-accessed objects, ascending — one work unit each.
     objects: Vec<MemId>,
+    /// Signature id per statement index (`u32::MAX`: not indexed).
+    sig_of: Vec<u32>,
+    sigs: Vec<Signature>,
+    /// Per (store, access) signature pair: `None` when not MHP, else whether
+    /// the lock filter drops it (pairs of span members decide per object).
+    verdicts: Vec<Option<bool>>,
 }
 
-/// One object's contribution to the value flow: its edges plus the pair
-/// counts its loop accumulated.
+/// One object's contribution to the value flow: its classes plus the pair
+/// counts its signature pairs accumulated.
 #[derive(Debug, Default)]
 pub struct ObjectFlow {
-    edges: Vec<(StmtId, StmtId, MemId)>,
-    aliased_pairs: usize,
-    mhp_pairs: usize,
-    lock_filtered: usize,
+    classes: Vec<ThreadClass>,
+    stats: ValueFlowStats,
 }
 
 impl<'a> ValueFlowPlan<'a> {
-    /// Builds the plan: indexes stores/accesses per object and selects the
+    /// Builds the plan: indexes stores/accesses per object, selects the
     /// objects that can produce edges (accessed at least twice, and shared
-    /// across threads).
+    /// across threads), and decides every signature pair.
     pub fn new(
         module: &'a Module,
         icfg: &'a Icfg,
@@ -113,14 +136,56 @@ impl<'a> ValueFlowPlan<'a> {
         objects.sort();
         objects
             .retain(|&o| accesses_of.get(&o).map_or(0, Vec::len) >= 2 && shared.is_shared(pre, o));
+
+        let (mut sig_of, mut sigs, mut ids) =
+            (vec![u32::MAX; module.stmt_count()], vec![], HashMap::new());
+        for s in objects.iter().flat_map(|o| &accesses_of[o]).copied() {
+            if sig_of[s.index()] != u32::MAX {
+                continue;
+            }
+            let insts = lock.map_or(vec![], |_| oracle.instances(s));
+            let mut reps: Vec<_> = insts.into_iter().map(|(t, c)| (t, c, s)).collect();
+            let span = lock.is_some_and(|l| reps.iter().any(|&(t, c, _)| l.in_span(t, c, s)));
+            let mut keys = vec![];
+            if !span {
+                let key = |i: (ThreadId, CtxId, StmtId)| ((i.0, oracle.instance_key(icfg, i)), i);
+                let mut keyed: Vec<_> = reps.iter().map(|&i| key(i)).collect();
+                keyed.sort_unstable();
+                keyed.dedup_by(|a, b| a.0 == b.0);
+                (keys, reps) = keyed.into_iter().unzip();
+            }
+            let (region, next) = (rel.region_of(s), sigs.len());
+            let id = *ids.entry((region, keys, span.then_some(s))).or_insert(next);
+            if id == next {
+                sigs.push(Signature { region, reps, span });
+            }
+            sig_of[s.index()] = id as u32;
+        }
+        let mut verdicts = Vec::with_capacity(sigs.len() * sigs.len());
+        for s1 in &sigs {
+            for s2 in &sigs {
+                let par = s1
+                    .region
+                    .zip(s2.region)
+                    .is_some_and(|(a, b)| rel.parallel_regions(a, b));
+                // A statement outside every span never forms a non-interference
+                // pair, so a pair with one is filtered only when no instance
+                // pair is MHP at all — whatever the object.
+                let mhp = |i1| s2.reps.iter().any(|&i2| oracle.mhp_instances(icfg, i1, i2));
+                let no_mhp = || !s1.reps.iter().any(|&i1| mhp(i1));
+                verdicts.push(par.then(|| lock.is_some() && !(s1.span && s2.span) && no_mhp()));
+            }
+        }
         ValueFlowPlan {
             icfg,
             oracle,
-            rel,
             lock,
             stores_of,
             accesses_of,
             objects,
+            sig_of,
+            sigs,
+            verdicts,
         }
     }
 
@@ -129,47 +194,49 @@ impl<'a> ValueFlowPlan<'a> {
         &self.objects
     }
 
-    /// Evaluates work unit `i` (the `i`-th object's store × access loop).
+    /// Evaluates work unit `i`: the `i`-th object's signature pairs.
     /// Pure with respect to the plan — safe to run concurrently.
     pub fn object_flow(&self, i: usize) -> ObjectFlow {
         let o = self.objects[i];
-        let stores = &self.stores_of[&o];
-        let accesses = self.accesses_of.get(&o).map_or(&[][..], Vec::as_slice);
-        let mut out = ObjectFlow::default();
-        // One region lookup per statement; each pair costs one bit test.
-        let store_regions: Vec<Option<u32>> =
-            stores.iter().map(|&s| self.rel.region_of(s)).collect();
-        let access_regions: Vec<Option<u32>> =
-            accesses.iter().map(|&a| self.rel.region_of(a)).collect();
-        for (si, &s) in stores.iter().enumerate() {
-            for (ai, &a) in accesses.iter().enumerate() {
-                let par = match (store_regions[si], access_regions[ai]) {
-                    (Some(r1), Some(r2)) => self.rel.parallel_regions(r1, r2),
-                    _ => false,
-                };
-                if s == a {
-                    // A store can interfere with another runtime instance of
-                    // itself only in a multi-forked thread — exactly the
-                    // region self-bit.
-                    if !par {
-                        continue;
-                    }
-                } else {
-                    out.aliased_pairs += 1;
-                }
-                if !par {
+        let sig = |s: StmtId| self.sig_of[s.index()] as usize;
+        let stores = by_key(&self.stores_of[&o], sig);
+        let accesses = by_key(&self.accesses_of[&o], sig);
+        let access_runs: Vec<&[StmtId]> = accesses.chunk_by(|&a, &b| sig(a) == sig(b)).collect();
+        let (mut out, mut rows) = (ObjectFlow::default(), Vec::new());
+        for ss in stores.chunk_by(|&a, &b| sig(a) == sig(b)) {
+            let (s, mut hits) = (sig(ss[0]), Vec::new());
+            for (ai, aa) in access_runs.iter().enumerate() {
+                let (a, n) = (sig(aa[0]), ss.len() * aa.len());
+                // Every store is also an access of the object: the diagonal
+                // holds its self-pairs, MHP candidates but not aliased pairs.
+                out.stats.aliased_pairs += if s == a { n - ss.len() } else { n };
+                let Some(mut filtered) = self.verdicts[s * self.sigs.len() + a] else {
                     continue;
+                };
+                if self.sigs[s].span && self.sigs[a].span {
+                    // Definition 6 reads the object through the span
+                    // head/tail sets: decide this object's pairs exactly.
+                    let lock = self.lock.expect("span signatures need the lock analysis");
+                    filtered = self.sigs[s].reps.iter().all(|&i1| {
+                        self.sigs[a].reps.iter().all(|&i2| {
+                            !self.oracle.mhp_instances(self.icfg, i1, i2)
+                                || lock.non_interference(self.icfg, i1, i2, o)
+                        })
+                    });
                 }
-                out.mhp_pairs += 1;
-                if let Some(lock) = self.lock {
-                    if all_instances_non_interfering(self.icfg, self.oracle, lock, s, a, o) {
-                        out.lock_filtered += 1;
-                        continue;
-                    }
+                out.stats.mhp_pairs += n;
+                if filtered {
+                    out.stats.lock_filtered += n;
+                } else {
+                    out.stats.edges += n;
+                    hits.push(ai);
                 }
-                out.edges.push((s, a, o));
+            }
+            if !hits.is_empty() {
+                rows.push((hits, None, ss));
             }
         }
+        out.classes = classes(o, rows, &access_runs);
         out
     }
 
@@ -180,14 +247,56 @@ impl<'a> ValueFlowPlan<'a> {
         let mut out = ThreadValueFlow::default();
         out.stats.shared_objects = self.objects.len();
         for flow in flows {
-            out.stats.aliased_pairs += flow.aliased_pairs;
-            out.stats.mhp_pairs += flow.mhp_pairs;
-            out.stats.lock_filtered += flow.lock_filtered;
-            out.stats.edges += flow.edges.len();
-            out.edges.extend(flow.edges);
+            out.stats.aliased_pairs += flow.stats.aliased_pairs;
+            out.stats.mhp_pairs += flow.stats.mhp_pairs;
+            out.stats.lock_filtered += flow.stats.lock_filtered;
+            out.stats.edges += flow.stats.edges;
+            out.edges.extend(flow.classes);
         }
         out
     }
+}
+
+/// The keyed statements, sorted by `(key, statement)` and deduplicated.
+fn by_key<'s, K: Ord>(
+    stmts: impl IntoIterator<Item = &'s StmtId>,
+    key: impl Fn(StmtId) -> K,
+) -> Vec<StmtId> {
+    let mut out: Vec<StmtId> = stmts.into_iter().copied().collect();
+    out.sort_by_key(|&s| (key(s), s));
+    out.dedup();
+    out
+}
+
+/// One object's classes from store rows `(access runs hit, access excluded,
+/// stores)`. Stores whose rows name the same access set form one class:
+/// the runs partition the accesses and an exclusion never empties a run, so
+/// equal row keys are exactly equal access sets. Classes come out ordered
+/// by access list.
+fn classes(
+    obj: MemId,
+    mut rows: Vec<(Vec<usize>, Option<StmtId>, &[StmtId])>,
+    runs: &[&[StmtId]],
+) -> Vec<ThreadClass> {
+    rows.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+    let mut out: Vec<ThreadClass> = rows
+        .chunk_by(|a, b| (&a.0, a.1) == (&b.0, b.1))
+        .map(|group| {
+            let (hits, except, _) = &group[0];
+            let mut stores: Vec<StmtId> = group.iter().flat_map(|r| r.2).copied().collect();
+            let mut accesses: Vec<StmtId> = hits.iter().flat_map(|&ai| runs[ai]).copied().collect();
+            accesses.retain(|&a| Some(a) != *except);
+            stores.sort_unstable();
+            accesses.sort_unstable();
+            ThreadClass {
+                obj,
+                stores,
+                accesses,
+            }
+        })
+        .collect();
+    out.sort_by(|a, b| a.accesses.cmp(&b.accesses));
+    out
 }
 
 /// Per object: the stores that may write it and the loads/stores that may
@@ -199,19 +308,16 @@ fn index_accesses(
     let mut stores_of: HashMap<MemId, Vec<StmtId>> = HashMap::new();
     let mut accesses_of: HashMap<MemId, Vec<StmtId>> = HashMap::new();
     for (sid, stmt) in module.stmts() {
-        match stmt.kind {
-            StmtKind::Store { ptr, .. } => {
-                for o in pre.pt_var(ptr).iter() {
-                    stores_of.entry(o).or_default().push(sid);
-                    accesses_of.entry(o).or_default().push(sid);
-                }
+        let (ptr, store) = match stmt.kind {
+            StmtKind::Store { ptr, .. } => (ptr, true),
+            StmtKind::Load { ptr, .. } => (ptr, false),
+            _ => continue,
+        };
+        for o in pre.pt_var(ptr).iter() {
+            if store {
+                stores_of.entry(o).or_default().push(sid);
             }
-            StmtKind::Load { ptr, .. } => {
-                for o in pre.pt_var(ptr).iter() {
-                    accesses_of.entry(o).or_default().push(sid);
-                }
-            }
-            _ => {}
+            accesses_of.entry(o).or_default().push(sid);
         }
     }
     (stores_of, accesses_of)
@@ -239,85 +345,56 @@ pub fn compute(
 ) -> ThreadValueFlow {
     if blind {
         // Sharedness and aliasing are both disregarded in blind mode, so
-        // the per-object plan does not apply; this ablation path stays
-        // sequential (it exists to be measured, not to be fast).
+        // the per-object plan does not apply.
         return compute_blind(module, pre, rel);
     }
     let plan = ValueFlowPlan::new(module, icfg, pre, oracle, rel, lock);
-    let flows: Vec<ObjectFlow> = (0..plan.objects().len())
-        .map(|i| plan.object_flow(i))
-        .collect();
-    plan.merge(flows)
+    plan.merge((0..plan.objects().len()).map(|i| plan.object_flow(i)))
 }
 
 /// The *No-Value-Flow* ablation: every MHP store/access pair gets edges
 /// for all of the store's target objects, no aliasing or sharedness test.
 fn compute_blind(module: &Module, pre: &PreAnalysis, rel: &MhpRelation) -> ThreadValueFlow {
-    let mut out = ThreadValueFlow::default();
     let (stores_of, accesses_of) = index_accesses(module, pre);
-    // No-Value-Flow: pair every store with every MHP access, no
-    // aliasing requirement — the edge still needs an object label to
-    // exist in the graph; we use all of the store's targets.
-    let all_accesses: Vec<StmtId> = {
-        let mut v: Vec<StmtId> = accesses_of.values().flatten().copied().collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let all_stores: Vec<StmtId> = {
-        let mut v: Vec<StmtId> = stores_of.values().flatten().copied().collect();
-        v.sort();
-        v.dedup();
-        v
-    };
-    let store_regions: Vec<Option<u32>> = all_stores.iter().map(|&s| rel.region_of(s)).collect();
-    let access_regions: Vec<Option<u32>> = all_accesses.iter().map(|&a| rel.region_of(a)).collect();
-    for (si, &s) in all_stores.iter().enumerate() {
-        for (ai, &a) in all_accesses.iter().enumerate() {
-            let par = match (store_regions[si], access_regions[ai]) {
-                (Some(r1), Some(r2)) => rel.parallel_regions(r1, r2),
-                _ => false,
-            };
-            if s == a || !par {
-                continue;
-            }
-            out.stats.mhp_pairs += 1;
-            if let StmtKind::Store { ptr, .. } = module.stmt(s).kind {
-                for o in pre.pt_var(ptr).iter() {
-                    out.edges.push((s, a, o));
-                    out.stats.edges += 1;
-                }
-            }
+    let region = |s: StmtId| rel.region_of(s);
+    let accesses = by_key(accesses_of.values().flatten(), region);
+    let runs: Vec<&[StmtId]> = accesses.chunk_by(|&a, &b| region(a) == region(b)).collect();
+    // A store pairs with every access in a region parallel to its own but
+    // itself: its row excludes it, or drops its own run when that is just
+    // the store. Every store is an access, so its own run exists.
+    let (mut rows_of, mut out) = (HashMap::new(), ThreadValueFlow::default());
+    for s in by_key(stores_of.values().flatten(), region) {
+        let own = runs.partition_point(|run| region(run[0]) < region(s));
+        let mut hits: Vec<usize> = (0..runs.len())
+            .filter(|&ai| rel.mhp_stmt(s, runs[ai][0]))
+            .collect();
+        let mut except = hits.contains(&own).then_some(s);
+        if except.is_some() && runs[own].len() == 1 {
+            hits.retain(|&ai| ai != own);
+            except = None;
         }
+        let pairs: usize = hits.iter().map(|&ai| runs[ai].len()).sum();
+        out.stats.mhp_pairs += pairs - usize::from(except.is_some());
+        rows_of.insert(s, (hits, except));
+    }
+    let mut objects: Vec<MemId> = stores_of.keys().copied().collect();
+    objects.sort();
+    for o in objects {
+        let rows = stores_of[&o]
+            .iter()
+            .filter_map(|s| {
+                let (hits, except) = rows_of.get(s)?;
+                (!hits.is_empty()).then(|| (hits.clone(), *except, std::slice::from_ref(s)))
+            })
+            .collect();
+        let classes = classes(o, rows, &runs);
+        out.stats.edges += classes
+            .iter()
+            .map(|c| c.stores.len() * c.accesses.len())
+            .sum::<usize>();
+        out.edges.extend(classes);
     }
     out
-}
-
-/// Whether *every* MHP instance pair of `(store, access)` is a
-/// non-interference pair (Definition 6) — only then may the edge be dropped.
-fn all_instances_non_interfering(
-    icfg: &Icfg,
-    oracle: &dyn MhpOracle,
-    lock: &LockAnalysis,
-    store: StmtId,
-    access: StmtId,
-    o: MemId,
-) -> bool {
-    let is1 = oracle.instances(store);
-    let is2 = oracle.instances(access);
-    for &(t1, c1) in &is1 {
-        for &(t2, c2) in &is2 {
-            let i1 = (t1, c1, store);
-            let i2 = (t2, c2, access);
-            if !oracle.mhp_instances(icfg, i1, i2) {
-                continue;
-            }
-            if !lock.non_interference(icfg, i1, i2, o) {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -355,6 +432,13 @@ mod tests {
             rel,
             lock,
         }
+    }
+
+    /// Whether some class carries the `store -> access` flow.
+    fn has_edge(vf: &ThreadValueFlow, store: StmtId, access: StmtId) -> bool {
+        vf.edges
+            .iter()
+            .any(|c| c.stores.contains(&store) && c.accesses.contains(&access))
     }
 
     fn nth_stmt(m: &Module, f: &str, pred: impl Fn(&StmtKind) -> bool, n: usize) -> StmtId {
@@ -403,12 +487,12 @@ mod tests {
         let store_x = nth_stmt(&w.m, "foo", |k| matches!(k, StmtKind::Store { .. }), 1);
         let load = nth_stmt(&w.m, "main", |k| matches!(k, StmtKind::Load { .. }), 0);
         assert!(
-            !vf.edges.iter().any(|&(s, a, _)| s == store_x && a == load),
+            !has_edge(&vf, store_x, load),
             "*x and *p don't alias: no thread-aware edge (Fig 1(d))"
         );
         let store_p = nth_stmt(&w.m, "foo", |k| matches!(k, StmtKind::Store { .. }), 0);
         assert!(
-            vf.edges.iter().any(|&(s, a, _)| s == store_p && a == load),
+            has_edge(&vf, store_p, load),
             "*p in foo does interfere with c = *p"
         );
     }
@@ -542,6 +626,52 @@ mod tests {
         );
     }
 
+    /// One store, two contexts of the main thread: before the fork the
+    /// worker is not alive, after it the worker is. The signature must keep
+    /// both instance keys; one representative per thread would pick either
+    /// context and could wrongly lock-filter the pair.
+    #[test]
+    fn signatures_keep_every_instance_key() {
+        let w = analyze(
+            r#"
+            global g
+            func touch() {
+            entry:
+              p = &g
+              store p, p
+              ret
+            }
+            func worker() {
+            entry:
+              q = &g
+              c = load q
+              ret
+            }
+            func main() {
+            entry:
+              call touch()
+              t = fork worker()
+              call touch()
+              join t
+              ret
+            }
+        "#,
+        );
+        let vf = compute(
+            &w.m,
+            &w.icfg,
+            &w.pre,
+            &w.inter,
+            &w.rel,
+            Some(&w.lock),
+            false,
+        );
+        let store = nth_stmt(&w.m, "touch", |k| matches!(k, StmtKind::Store { .. }), 0);
+        let load = nth_stmt(&w.m, "worker", |k| matches!(k, StmtKind::Load { .. }), 0);
+        assert_eq!(vf.stats.lock_filtered, 0, "{:?}", vf.stats);
+        assert!(has_edge(&vf, store, load));
+    }
+
     /// Paper Figure 1(e)/Figure 9: lock correlation removes spurious edges.
     #[test]
     fn lock_filter_reduces_edges() {
@@ -592,15 +722,9 @@ mod tests {
         // The tail store -> head load edge must survive.
         let tail = nth_stmt(&w.m, "a", |k| matches!(k, StmtKind::Store { .. }), 1);
         let head = nth_stmt(&w.m, "b", |k| matches!(k, StmtKind::Load { .. }), 0);
-        assert!(with_lock
-            .edges
-            .iter()
-            .any(|&(s, a, _)| s == tail && a == head));
+        assert!(has_edge(&with_lock, tail, head));
         // The intermediate store -> head edge is filtered.
         let mid = nth_stmt(&w.m, "a", |k| matches!(k, StmtKind::Store { .. }), 0);
-        assert!(!with_lock
-            .edges
-            .iter()
-            .any(|&(s, a, _)| s == mid && a == head));
+        assert!(!has_edge(&with_lock, mid, head));
     }
 }

@@ -163,3 +163,39 @@ fn x264_lint_time_and_sarif_size_stay_under_checked_in_ceilings() {
         "the size argument assumes grouping collapses pairs"
     );
 }
+
+/// Factored value-flow must stay factored: on x264 at the benchmark scale
+/// the plan decides a handful of interference-signature pairs instead of
+/// walking ~780k store × access pairs one by one. The phase time
+/// (`times.value_flow`: value-flow plus thread-edge insertion into a clone
+/// of the thread-oblivious SVFG) is the median of three sequential runs.
+///
+/// Measured on a 2-vCPU VM: medians of 18–27 ms over five runs of this
+/// test, where per-pair enumeration took 505–519 ms. The 200 ms ceiling
+/// leaves more than 7x headroom over the slowest median. Release builds
+/// only: debug timings say nothing about the algorithm.
+#[test]
+fn x264_value_flow_stays_under_checked_in_ceiling() {
+    const CEILING_MS: u128 = 200;
+    if cfg!(debug_assertions) {
+        eprintln!("skipping value-flow ceiling: debug build");
+        return;
+    }
+    let module = Program::X264.generate(Scale(0.32));
+    let pipeline = Pipeline::for_module(&module).with_threads(1);
+    let mut ms: Vec<u128> = (0..3)
+        .map(|_| {
+            pipeline
+                .run(PhaseConfig::full())
+                .times
+                .value_flow
+                .as_millis()
+        })
+        .collect();
+    ms.sort_unstable();
+    assert!(
+        ms[1] <= CEILING_MS,
+        "x264 value-flow took {} ms (median of {ms:?}), ceiling is {CEILING_MS} ms",
+        ms[1]
+    );
+}
